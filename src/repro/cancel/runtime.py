@@ -1,10 +1,10 @@
 """The per-cluster cancellation runtime: doom checks, kills, budgets.
 
 One :class:`CancelRuntime` is created by a :class:`Cluster` whose config
-carries a :class:`CancelConfig`, and installed as ``env.cancel`` (the
-same pattern as ``env.guard``). Every instrumentation point in the
-platform checks ``cancel is None`` first, so unarmed runs execute the
-pre-cancel code byte-for-byte.
+carries a :class:`CancelConfig`; its :meth:`~CancelRuntime.arm` installs
+it as ``env.cancel`` (the same pattern as ``env.guard``). Every
+instrumentation point in the platform checks ``cancel is None`` first,
+so unarmed runs execute the pre-cancel code byte-for-byte.
 
 The runtime owns three concerns: deadline *doom* predicates (a job or
 workflow is doomed once it provably cannot finish by its doom line),
@@ -56,7 +56,8 @@ class CancelRuntime:
         self._top_freq = cluster.config.scale.max
 
     def arm(self) -> None:
-        """Nothing periodic to start; kept for runtime-pattern symmetry."""
+        """Install ``env.cancel`` (nothing periodic to start)."""
+        self.env.cancel = self
 
     # ------------------------------------------------------------------
     # Doom lines (deadline propagation)

@@ -651,22 +651,17 @@ def main(argv: Optional[List[str]] = None) -> int:
               f" try 'list'", file=sys.stderr)
         return 2
 
+    from repro import obs, verify
+    from repro.session import RunSession
     tracer = None
-    audit = None
     if args.trace:
-        from repro import obs
-        tracer = obs.install(obs.Tracer(
+        tracer = obs.Tracer(
             ledger=obs.EnergyLedger() if args.ledger else None,
             burnrate=obs.BurnRateMonitor() if args.burnrate else None,
             fingerprint=(obs.FingerprintRecorder(epoch_s=args.epoch_s)
-                         if args.fingerprints else None)))
-    if args.audit:
-        from repro import obs
-        audit = obs.install_audit(obs.AuditLog())
-    verifier = None
-    if args.verify:
-        from repro import verify
-        verifier = verify.install(verify.Verifier())
+                         if args.fingerprints else None))
+    audit = obs.AuditLog() if args.audit else None
+    verifier = verify.Verifier() if args.verify else None
 
     def _new_violations(since: int) -> str:
         """Summarize verifier violations recorded past index ``since``."""
@@ -680,7 +675,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return ", ".join(f"{name} x{count}"
                          for name, count in sorted(counts.items()))
 
-    try:
+    with RunSession(tracer=tracer, audit=audit, verifier=verifier):
         if args.experiment == "all":
             # One failing experiment must not abort the whole sweep: run
             # every one, print the pass/fail summary table at the end,
@@ -732,13 +727,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"[{args.experiment} FAILED:"
                       f" {type(error).__name__}: {error}]", file=sys.stderr)
                 status = 1
-    finally:
-        if tracer is not None:
-            obs.uninstall()
-        if audit is not None:
-            obs.uninstall_audit()
-        if verifier is not None:
-            verify.uninstall()
 
     if verifier is not None:
         total = len(verifier.violations)

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+import contextlib
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterator, List, Optional
 
-from repro import obs, verify
+from repro import obs
 from repro.baselines import BaselineSystem, PowerCtrlSystem
 from repro.core import EcoFaaSSystem
 from repro.core.config import EcoFaaSConfig
@@ -15,6 +16,7 @@ from repro.hardware.power import PowerModel
 from repro.platform.cluster import Cluster, ClusterConfig
 from repro.platform.job import Job
 from repro.platform.scheduler import CorePoolScheduler
+from repro.session import current_session
 from repro.sim import Environment
 from repro.traces.azure import (
     AzureTraceConfig,
@@ -98,33 +100,6 @@ def make_systems(ecofaas_config: Optional[EcoFaaSConfig] = None) -> Dict[str, ob
     }
 
 
-def _trace_counter_sampler(env, cluster, tracer):
-    """Read-only periodic counters: per-node power draw, EWT, load.
-
-    Armed only on traced runs; it mutates nothing and draws no random
-    numbers, so metrics stay bit-identical to an untraced run.
-    """
-    while True:
-        prof = env.prof
-        if prof.enabled:
-            # The sampler is pure tracer overhead: bill it (and the
-            # power snapshots nested inside) to the obs components.
-            prof.enter("obs.trace")
-        try:
-            for node in cluster.nodes:
-                track = f"node{node.server.server_id}"
-                tracer.counter(track, "power_w",
-                               node.server.power_snapshot_w())
-                tracer.counter(track, "ewt_s",
-                               sum(pool.ewt_seconds
-                                   for pool in node.iter_pools()))
-                tracer.counter(track, "outstanding", node.outstanding)
-        finally:
-            if prof.enabled:
-                prof.exit("obs.trace")
-        yield env.timeout(tracer.counter_period_s)
-
-
 def run_cluster(system, trace: Trace,
                 config: Optional[ClusterConfig] = None,
                 sample_period_s: Optional[float] = None,
@@ -134,43 +109,19 @@ def run_cluster(system, trace: Trace,
     ``sample_period_s`` arms periodic frequency-timeline sampling on every
     server (the Fig. 14 data source). ``fault_plan`` arms deterministic
     fault injection (``repro.faults``); None or an empty plan leaves the
-    run untouched. When a tracer is installed (``repro.obs``), the run is
-    recorded as a new run scope named after the system — or ``label``,
-    which experiment A/B arms pass so their fingerprints/manifests stay
-    distinguishable.
+    run untouched. The current :class:`~repro.session.RunSession` records
+    the run: with a tracer it becomes a new run scope named after the
+    system — or ``label``, which experiment A/B arms pass so their
+    fingerprints/manifests stay distinguishable.
     """
-    env = Environment()
     if label is None:
         label = getattr(system, "name", type(system).__name__)
-    profiler = obs.active_profiler()
-    if profiler is not None:
-        # Self-profiling (repro.obs.prof): route the kernel's counter
-        # and dispatch-timer hooks here. Wall-clock only — never
-        # simulation state — so the run stays bit-identical.
-        profiler.bind(env)
-    tracer = obs.active_tracer()
-    if tracer is not None:
-        tracer.begin_run(label)
-        tracer.bind(env)
-    audit = obs.active_audit()
-    if audit is not None:
-        audit.begin_run(label)
-        audit.bind(env)
-    verifier = verify.active()
-    if verifier is not None:
-        # Invariant monitors (repro.verify): read-only checks of the
-        # kernel clock, energy meters, breaker transitions, HA fencing,
-        # and tenant budgets. Reads only — armed runs stay bit-identical.
-        verifier.begin_run(label)
-        verifier.bind(env)
-    cluster = Cluster(env, system, config or ClusterConfig(),
-                      fault_plan=fault_plan)
-    if verifier is not None:
-        verifier.arm(cluster)
-    if tracer is not None:
-        env.process(_trace_counter_sampler(env, cluster, tracer),
-                    name="obs-counter-sampler")
+    session = current_session()
+    cluster = session.open_run(system, config or ClusterConfig(),
+                               fault_plan, label)
     if sample_period_s is not None:
+        env = cluster.env
+
         def sampler():
             while True:
                 for server in cluster.servers:
@@ -178,27 +129,29 @@ def run_cluster(system, trace: Trace,
                 yield env.timeout(sample_period_s)
         env.process(sampler(), name="freq-sampler")
     cluster.run_trace(trace)
-    if verifier is not None:
-        # End-of-run checks: workflow-lifecycle conservation, duplicate
-        # completions, election-epoch monotonicity, plus a final sweep.
-        verifier.close_run(cluster)
-    if tracer is not None and tracer.ledger is not None:
-        # Closing the run classifies this run's raw entries and checks
-        # conservation against the hardware meters (raises on mismatch).
-        tracer.ledger.close_run(cluster)
-        if cluster.tenancy is not None:
-            # Price the closed run into a per-tenant bill (repro.tenancy).
-            cluster.tenancy.settle(tracer.ledger)
-    if tracer is not None and tracer.fingerprint is not None:
-        # Fold the run into per-epoch chain digests (repro.obs.fingerprint).
-        # After the ledger close, so the energy chains see classified
-        # entries; reads recorded state only.
-        entry = tracer.fingerprint.close_run(cluster, tracer, audit=audit)
-        if verifier is not None:
-            # Self-check: the verify layer recomputes the chains from the
-            # same recorded streams with its own inline hashing.
-            verifier.check_fingerprints(tracer.fingerprint, entry, cluster)
+    session.close_run(cluster)
     return cluster
+
+
+@contextlib.contextmanager
+def ledger_tracer() -> Iterator[obs.Tracer]:
+    """The tracer whose energy ledger an experiment's billing reads.
+
+    The current session's tracer is used when it carries a ledger. With
+    no tracer, a nested session adds a private ledger-bearing one. A
+    tracer without a ledger is refused: the experiment's billing and
+    conservation columns would silently read as zero.
+    """
+    session = current_session()
+    if session.tracer is None:
+        with replace(session,
+                     tracer=obs.Tracer(ledger=obs.EnergyLedger())) as inner:
+            yield inner.tracer
+    elif session.tracer.ledger is None:
+        raise ValueError("this experiment bills energy through the ledger;"
+                         " pass --ledger together with --trace")
+    else:
+        yield session.tracer
 
 
 def run_three_systems(trace: Trace, config: Optional[ClusterConfig] = None,

@@ -33,13 +33,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro import obs
 from repro.cancel import CancelConfig
 from repro.core import EcoFaaSSystem
 from repro.core.config import EcoFaaSConfig
-from repro.experiments.common import ExperimentResult, run_cluster
+from repro.experiments.common import (
+    ExperimentResult,
+    ledger_tracer,
+    run_cluster,
+)
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.obs.ledger import EnergyLedger
 from repro.platform.cluster import ClusterConfig
 from repro.platform.reliability import ReliabilityPolicy
 from repro.traces.poisson import (
@@ -156,23 +158,13 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
         config = ClusterConfig(
             n_servers=n_servers, seed=seed, drain_s=drain,
             reliability=storm_policy(), cancel=cancel)
-        # Attach a ledger (unless the CLI already installed a tracer) so
-        # each arm's wasted joules are classified and conservation —
-        # including the cancelled/doomed buckets — is checked at 1e-6.
-        own_tracer = obs.active_tracer() is None
-        if own_tracer:
-            obs.install(obs.Tracer(ledger=EnergyLedger()))
-        try:
+        # A ledger classifies each arm's wasted joules and checks
+        # conservation — including the cancelled/doomed buckets — at 1e-6.
+        with ledger_tracer() as tracer:
             cluster = run_cluster(EcoFaaSSystem(EcoFaaSConfig()), trace,
                                   config, fault_plan=plan,
                                   label=f"EcoFaaS/cancel-{arm}")
-            tracer = obs.active_tracer()
-            ledger = tracer.ledger if tracer is not None else None
-            report = (ledger.reports[-1]
-                      if ledger is not None and ledger.reports else None)
-        finally:
-            if own_tracer:
-                obs.uninstall()
+            report = tracer.ledger.reports[-1]
         metrics = cluster.metrics
         timeline = _goodput_timeline(metrics.workflow_records, horizon)
         pre_epochs = range(1, int(storm[0] / EPOCH_S))

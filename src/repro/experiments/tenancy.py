@@ -31,10 +31,13 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro import obs
 from repro.core import EcoFaaSSystem
 from repro.core.config import EcoFaaSConfig
-from repro.experiments.common import ExperimentResult, run_cluster
+from repro.experiments.common import (
+    ExperimentResult,
+    ledger_tracer,
+    run_cluster,
+)
 from repro.platform.cluster import ClusterConfig
 from repro.tenancy import (
     PowerCapConfig,
@@ -114,12 +117,8 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
         tuple(b for _, bs in TENANT_BENCHMARKS for b in bs),
         rate_rps=rate, duration_s=duration, seed=seed + 29))
 
-    # Billing needs a ledger; arm a private tracer when none is active.
-    private = obs.active_tracer() is None
-    if private:
-        obs.install(obs.Tracer(ledger=obs.EnergyLedger()))
-    tracer = obs.active_tracer()
-    try:
+    # Billing needs a ledger: settlement prices each closed ledger run.
+    with ledger_tracer():
         nominal_w: Optional[float] = None
         for fraction in CAP_FRACTIONS:
             cap_w = (None if nominal_w is None
@@ -137,9 +136,8 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
                 nominal_w = energy_j / (duration + drain_s)
                 cap_w = round(nominal_w, 1)
             metrics = cluster.metrics
-            bill = cluster.tenancy.bills[-1] if cluster.tenancy.bills \
-                else None
-            billed = [row for row in (bill or {}).get("tenants", ())
+            bill = cluster.tenancy.bills[-1]
+            billed = [row for row in bill["tenants"]
                       if row["tenant"] != "(unattributed)"]
             slo_records = [r for r in metrics.workflow_records
                            if r.benchmark not in best_effort]
@@ -156,12 +154,9 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
                 shed_be=sum(count for bench, count
                             in metrics.shed_by_benchmark.items()
                             if bench in best_effort),
-                cost_usd=round(bill["total_usd"], 6) if bill else 0.0,
-                billed_j=round(bill["total_j"], 1) if bill else 0.0,
+                cost_usd=round(bill["total_usd"], 6),
+                billed_j=round(bill["total_j"], 1),
             )
-    finally:
-        if private:
-            obs.uninstall()
 
     result.note("cap_pct 100 is the uncapped calibration run; its average"
                 " draw defines the watts the capped rows are fractions of")

@@ -1,10 +1,10 @@
 """The per-cluster guard runtime: wiring, accounting, trace emission.
 
 One :class:`GuardRuntime` is created by a :class:`Cluster` whose config
-carries a :class:`GuardConfig`, and installed as ``env.guard`` (the same
-pattern as ``env.trace``). Every instrumentation point in the platform
-checks ``guard is None`` first, so unguarded runs execute the pre-guard
-code byte-for-byte.
+carries a :class:`GuardConfig`; its :meth:`~GuardRuntime.arm` installs
+it as ``env.guard`` (the same pattern as ``env.trace``). Every
+instrumentation point in the platform checks ``guard is None`` first, so
+unguarded runs execute the pre-guard code byte-for-byte.
 
 The runtime centralises three concerns so the mechanism classes stay
 pure: reading cluster-wide signals (the EWT-per-core brownout input),
@@ -57,7 +57,8 @@ class GuardRuntime:
         self._audit_level = 0
 
     def arm(self) -> None:
-        """Start the periodic guard processes (checkpointer + watchdog)."""
+        """Install ``env.guard`` and start the periodic checkpointer."""
+        self.env.guard = self
         if self.checkpoints is not None:
             self.env.process(self._checkpoint_loop(), name="guard-checkpoint")
 

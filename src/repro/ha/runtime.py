@@ -1,11 +1,11 @@
 """The per-cluster HA runtime: heartbeats, membership, leases, fencing.
 
 One :class:`HARuntime` is created by a :class:`Cluster` whose config
-carries an :class:`HAConfig`, and installed as ``env.ha`` alongside a
-:class:`LinkTable` as ``env.links`` (the same opt-in pattern as
-``env.trace`` / ``env.guard``). Every HA instrumentation point in the
-platform checks for ``None`` first, so HA-off runs execute the pre-HA
-code byte-for-byte.
+carries an :class:`HAConfig`; its :meth:`~HARuntime.arm` installs it as
+``env.ha`` alongside a :class:`LinkTable` as ``env.links`` (the same
+opt-in pattern as ``env.trace`` / ``env.guard``). Every HA
+instrumentation point in the platform checks for ``None`` first, so
+HA-off runs execute the pre-HA code byte-for-byte.
 
 Four periodic processes run while armed:
 
@@ -57,6 +57,11 @@ class HARuntime:
     """The armed high-availability layer of one cluster."""
 
     def __init__(self, cluster: "Cluster", config: HAConfig):
+        if cluster.config.reliability is None:
+            raise ValueError(
+                "the HA layer recovers stranded invocations through the"
+                " frontend's retry machinery; configure"
+                " ClusterConfig.reliability alongside ClusterConfig.ha")
         self.cluster = cluster
         self.config = config
         self.env = cluster.env

@@ -2,9 +2,10 @@
 
 A zero-overhead-when-disabled observability subsystem: the platform is
 threaded with hooks that dispatch through ``Environment.trace`` (the
-shared :data:`~repro.obs.tracer.NULL_TRACER` by default). Installing a
-real :class:`~repro.obs.tracer.Tracer` — via :func:`install` for the
-experiment harness, or ``tracer.bind(env)`` directly — records typed
+shared :data:`~repro.obs.tracer.NULL_TRACER` by default). Attaching a
+real :class:`~repro.obs.tracer.Tracer` — via ``with
+RunSession(tracer=...)`` (:mod:`repro.session`) for the experiment
+harness, or ``tracer.bind(env)`` directly — records typed
 span/instant/counter streams that export to Perfetto-loadable Chrome
 trace JSON, per-epoch metrics time series, and plain-text summaries.
 
@@ -14,7 +15,7 @@ v2 adds, all equally opt-in and determinism-safe:
   run / block / cold-start / idle / freq-switch / retry-waste / shed /
   static components, validated against the hardware meters;
 * :class:`~repro.obs.audit.AuditLog` — structured "why" records from
-  every control-plane decision point (install via :func:`install_audit`);
+  every control-plane decision point (``RunSession(audit=...)``);
 * :class:`~repro.obs.burnrate.BurnRateMonitor` — per-benchmark SLO
   burn-rate alerting on deterministic log-bucket histograms;
 * :mod:`~repro.obs.explain` — ranked root causes for missed-SLO
@@ -23,8 +24,6 @@ v2 adds, all equally opt-in and determinism-safe:
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 # NB: repro.obs.bench is deliberately NOT imported here — it pulls in the
 # experiment harness, which imports the sim kernel, which imports
@@ -60,9 +59,6 @@ from repro.obs.prof import (
     Profiler,
     profiled,
 )
-from repro.obs.prof import active as active_profiler
-from repro.obs.prof import install as install_profiler
-from repro.obs.prof import uninstall as uninstall_profiler
 from repro.obs.registry import (
     EPOCH_INSTANT_COLUMNS,
     LEDGER_COMPONENTS,
@@ -100,9 +96,6 @@ __all__ = [
     "Profiler",
     "SpanRecord",
     "Tracer",
-    "active_audit",
-    "active_profiler",
-    "active_tracer",
     "canon",
     "canonical_json",
     "chrome_trace_events",
@@ -113,62 +106,13 @@ __all__ = [
     "explain",
     "format_diff",
     "format_explanation",
-    "install",
-    "install_audit",
-    "install_profiler",
     "load_explain_data",
     "profiled",
     "queueing_by_function",
     "report",
     "run_summary",
-    "uninstall",
-    "uninstall_audit",
-    "uninstall_profiler",
     "validate_events",
     "validate_file",
     "write_chrome_trace",
     "write_epoch_metrics",
 ]
-
-#: The process-wide tracer the experiment harness attaches to every
-#: cluster it builds (None = tracing disabled).
-_active: Optional[Tracer] = None
-
-#: The process-wide audit log, same lifecycle as the tracer.
-_active_audit: Optional[AuditLog] = None
-
-
-def install(tracer: Tracer) -> Tracer:
-    """Make ``tracer`` the active tracer for subsequent experiment runs."""
-    global _active
-    _active = tracer
-    return tracer
-
-
-def uninstall() -> None:
-    """Disable experiment tracing (does not clear recorded data)."""
-    global _active
-    _active = None
-
-
-def active_tracer() -> Optional[Tracer]:
-    """The installed tracer, or None when tracing is disabled."""
-    return _active
-
-
-def install_audit(audit: AuditLog) -> AuditLog:
-    """Make ``audit`` the active decision log for subsequent runs."""
-    global _active_audit
-    _active_audit = audit
-    return audit
-
-
-def uninstall_audit() -> None:
-    """Disable decision auditing (does not clear recorded data)."""
-    global _active_audit
-    _active_audit = None
-
-
-def active_audit() -> Optional[AuditLog]:
-    """The installed audit log, or None when auditing is disabled."""
-    return _active_audit

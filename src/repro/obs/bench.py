@@ -46,6 +46,7 @@ from repro.experiments.common import make_load_trace, run_cluster
 from repro.faults import FaultPlan
 from repro.obs import prof as prof_mod
 from repro.platform.cluster import ClusterConfig
+from repro.session import RunSession
 
 #: Simulated (seed-deterministic) metric keys compared exactly.
 SIM_METRICS = ("energy_j", "p99_latency_s", "slo_miss_rate", "completed")
@@ -162,21 +163,16 @@ def run_bench(quick: bool = True,
     for index, (name, runner) in enumerate(_scenarios(quick)):
         if progress is not None:
             progress(f"bench: running {name} ...")
-        profiler = prof_mod.install(prof_mod.Profiler()) if profile else None
-        tracer = obs.install(obs.Tracer(
-            fingerprint=obs.FingerprintRecorder())) if fingerprints else None
+        profiler = prof_mod.Profiler() if profile else None
+        tracer = obs.Tracer(
+            fingerprint=obs.FingerprintRecorder()) if fingerprints else None
         t0 = time.perf_counter()
-        try:
+        with RunSession(tracer=tracer, profiler=profiler):
             if profiler is not None:
                 profiler.start()
             cluster = runner()
             if profiler is not None:
                 profiler.stop()
-        finally:
-            if profiler is not None:
-                prof_mod.uninstall()
-            if tracer is not None:
-                obs.uninstall()
         wall = time.perf_counter() - t0
         entry = _measure(cluster)
         if tracer is not None and tracer.fingerprint.entries:
@@ -332,15 +328,13 @@ def run_profile(scales: Tuple[float, ...] = (1, 3, 10),
     for scale in scales:
         if progress is not None:
             progress(f"profile: running scale {scale:g}x ...")
-        profiler = prof_mod.install(prof_mod.Profiler())
-        try:
+        profiler = prof_mod.Profiler()
+        with RunSession(profiler=profiler):
             t0 = time.perf_counter()
             profiler.start()
             cluster = _profile_scenario(scale, quick)
             profiler.stop()
             wall = time.perf_counter() - t0
-        finally:
-            prof_mod.uninstall()
         entries.append({
             "scale": scale,
             "wall_s": round(wall, 4),

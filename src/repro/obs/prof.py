@@ -22,11 +22,11 @@ Opt-in follows the ``env.trace`` pattern: ``Environment.prof`` is the
 shared :data:`NULL_PROFILER` (every hook a no-op) until a real profiler
 is bound. Code without an environment at hand (the MILP solver, the
 predictor) is instrumented with the :func:`profiled` decorator, which
-dispatches through the module-level active profiler installed by
-:func:`install` — the decorator short-circuits to a plain call while no
-profiler is running, and the profiler only ever *reads* the wall clock,
-so profiler-off and profiler-on runs are both bit-identical in every
-simulated metric.
+dispatches to the profiler of the current
+:class:`~repro.session.RunSession` — the decorator short-circuits to a
+plain call while no profiler is running, and the profiler only ever
+*reads* the wall clock, so profiler-off and profiler-on runs are both
+bit-identical in every simulated metric.
 
 Aggregated output:
 
@@ -96,11 +96,11 @@ NULL_PROFILER = NullProfiler()
 class Profiler(NullProfiler):
     """Records exclusive wall-time per component path plus kernel counters.
 
-    Lifecycle: construct, :func:`install` (so the decorator-instrumented
-    solvers see it), :meth:`start`, run the scenario (``run_cluster``
-    binds it to each environment it builds), :meth:`stop`,
-    :func:`uninstall`. ``enabled`` is False outside start/stop, which
-    short-circuits every hook.
+    Lifecycle: construct, enter ``RunSession(profiler=...)`` (so the
+    decorator-instrumented solvers see it), :meth:`start`, run the
+    scenario (``run_cluster`` binds it to each environment it builds),
+    :meth:`stop`, leave the session. ``enabled`` is False outside
+    start/stop, which short-circuits every hook.
     """
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter):
@@ -283,34 +283,18 @@ class Profiler(NullProfiler):
 
 
 # ---------------------------------------------------------------------------
-# Process-wide active profiler (mirrors repro.obs.install / active_tracer)
+# The profiler @profiled scopes report to
 # ---------------------------------------------------------------------------
+#: The current run session's profiler (repro.session writes it on every
+#: session enter and exit; NULL_PROFILER while no session carries one).
 _active: NullProfiler = NULL_PROFILER
-
-
-def install(profiler: Profiler) -> Profiler:
-    """Make ``profiler`` the target of :func:`profiled` instrumentation."""
-    global _active
-    _active = profiler
-    return profiler
-
-
-def uninstall() -> None:
-    """Restore the null profiler (does not clear recorded data)."""
-    global _active
-    _active = NULL_PROFILER
-
-
-def active() -> Optional[Profiler]:
-    """The installed profiler, or None when self-profiling is off."""
-    return None if _active is NULL_PROFILER else _active  # type: ignore
 
 
 def profiled(component: str):
     """Decorator: attribute a callable's wall-time to ``component``.
 
-    While no profiler is installed *and started* this is a falsy check
-    plus one extra frame; nested profiled calls account exclusively
+    While the current session has no started profiler this is a falsy
+    check plus one extra frame; nested profiled calls account exclusively
     (the callee's time is not double-counted in the caller).
     """
     def decorate(fn):

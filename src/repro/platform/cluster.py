@@ -81,6 +81,11 @@ class ClusterConfig:
             raise ValueError("drain must be non-negative")
 
 
+#: The opt-in runtimes, by ClusterConfig field, in arming order.
+_RUNTIMES = (("guard", GuardRuntime), ("tenancy", TenancyRuntime),
+             ("ha", HARuntime), ("cancel", CancelRuntime))
+
+
 class Cluster:
     """A cluster running one serverless system."""
 
@@ -104,36 +109,19 @@ class Cluster:
             system.make_node(env, server, self.metrics, self.rng)
             for server in self.servers
         ]
-        #: Armed guard runtime (repro.guard), when a GuardConfig was given.
+        #: Armed opt-in runtimes (repro.guard / tenancy / ha / cancel):
+        #: one per config field that is set, None otherwise. Each arm()
+        #: installs its env hook and starts its processes, in this order.
         self.guard: Optional[GuardRuntime] = None
-        if self.config.guard is not None:
-            self.guard = GuardRuntime(self, self.config.guard)
-            env.guard = self.guard
-            self.guard.arm()
-        #: Armed tenancy runtime (repro.tenancy), when a TenancyConfig
-        #: was given.
         self.tenancy: Optional[TenancyRuntime] = None
-        if self.config.tenancy is not None:
-            self.tenancy = TenancyRuntime(self, self.config.tenancy)
-            env.tenancy = self.tenancy
-            self.tenancy.arm()
-        #: Armed HA runtime (repro.ha), when an HAConfig was given.
         self.ha: Optional[HARuntime] = None
-        if self.config.ha is not None:
-            if self.config.reliability is None:
-                raise ValueError(
-                    "the HA layer recovers stranded invocations through the"
-                    " frontend's retry machinery; configure"
-                    " ClusterConfig.reliability alongside ClusterConfig.ha")
-            self.ha = HARuntime(self, self.config.ha)
-            self.ha.arm()
-        #: Armed cancellation runtime (repro.cancel), when a CancelConfig
-        #: was given.
         self.cancel: Optional[CancelRuntime] = None
-        if self.config.cancel is not None:
-            self.cancel = CancelRuntime(self, self.config.cancel)
-            env.cancel = self.cancel
-            self.cancel.arm()
+        for name, runtime_cls in _RUNTIMES:
+            layer_config = getattr(self.config, name)
+            if layer_config is not None:
+                runtime = runtime_cls(self, layer_config)
+                setattr(self, name, runtime)
+                runtime.arm()
         self._rr_index = 0
         #: Workflows in flight (for drain diagnostics).
         self.inflight = 0
@@ -351,6 +339,22 @@ class Cluster:
             cancel.note_first_attempt()
         attempt = 0
         lost_to_crash_here = 0
+
+        def dispatch(target: NodeSystem):
+            """Submit a pristine clone of ``spec`` to ``target`` as one
+            try of the current attempt (primary, hedge or HA re-dispatch).
+            """
+            job = target.submit(fn_model, spec.clone(), deadline_s,
+                                benchmark, seniority_time_s=arrival_s)
+            job.attempt = attempt
+            if cancel is not None:
+                cancel.tag_job(job, doom_deadline_s)
+            if wf_uid is not None:
+                self.env.trace.link(wf_uid, job.job_id)
+            if ha is not None:
+                job.ha_node = target
+            return job
+
         while True:
             if guard is not None and not guard.breaker_allows(fn_model.name):
                 # The function's breaker is open: fail fast instead of
@@ -421,16 +425,7 @@ class Cluster:
                                        attempts=attempt,
                                        deadline_passed=True)
                 return None
-            job = node.submit(fn_model, spec.clone(), deadline_s, benchmark,
-                              seniority_time_s=arrival_s)
-            job.attempt = attempt
-            if cancel is not None:
-                cancel.tag_job(job, doom_deadline_s)
-            if wf_uid is not None:
-                self.env.trace.link(wf_uid, job.job_id)
-            if ha is not None:
-                job.ha_node = node
-            jobs = [job]
+            jobs = [dispatch(node)]
             timeout_ev = (self.env.timeout(policy.invocation_timeout_s)
                           if policy.invocation_timeout_s is not None else None)
             hedge_ev = (self.env.timeout(policy.hedge_after_s)
@@ -522,16 +517,7 @@ class Cluster:
                                 if hedges_fired < policy.max_hedges else None)
                     other = self.pick_node(exclude=node)
                     if other is not None and other is not node:
-                        duplicate = other.submit(
-                            fn_model, spec.clone(), deadline_s, benchmark,
-                            seniority_time_s=arrival_s)
-                        duplicate.attempt = attempt
-                        if cancel is not None:
-                            cancel.tag_job(duplicate, doom_deadline_s)
-                        if wf_uid is not None:
-                            self.env.trace.link(wf_uid, duplicate.job_id)
-                        if ha is not None:
-                            duplicate.ha_node = other
+                        duplicate = dispatch(other)
                         jobs.append(duplicate)
                         self.metrics.record_hedge()
                         self.env.trace.instant("hedge", "frontend",
@@ -542,16 +528,7 @@ class Cluster:
                     target = ha.redispatch_target(idem_key, jobs,
                                                   exclude=node)
                     if target is not None:
-                        duplicate = target.submit(
-                            fn_model, spec.clone(), deadline_s, benchmark,
-                            seniority_time_s=arrival_s)
-                        duplicate.attempt = attempt
-                        if cancel is not None:
-                            cancel.tag_job(duplicate, doom_deadline_s)
-                        if wf_uid is not None:
-                            self.env.trace.link(wf_uid, duplicate.job_id)
-                        duplicate.ha_node = target
-                        jobs.append(duplicate)
+                        jobs.append(dispatch(target))
                         continue
                 # Some (not all) attempts crashed: drop them, keep waiting.
                 lost_to_crash_here += sum(1 for j in jobs if j.aborted)

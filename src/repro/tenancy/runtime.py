@@ -1,8 +1,8 @@
 """The per-cluster tenancy runtime: metering, enforcement, settlement.
 
 One :class:`TenancyRuntime` is created by a :class:`Cluster` whose
-config carries a :class:`TenancyConfig`, and installed as
-``env.tenancy`` (the same pattern as ``env.guard``). Every
+config carries a :class:`TenancyConfig`; its :meth:`~TenancyRuntime.arm`
+installs it as ``env.tenancy`` (the same pattern as ``env.guard``). Every
 instrumentation point in the platform checks ``tenancy is None`` first,
 so tenancy-off runs execute the pre-tenancy code byte-for-byte.
 
@@ -66,7 +66,8 @@ class TenancyRuntime:
         self.bills: List[Dict[str, object]] = []
 
     def arm(self) -> None:
-        """Start the periodic tenancy processes (meter + governor)."""
+        """Install ``env.tenancy`` and start the meter + governor loops."""
+        self.env.tenancy = self
         self.env.process(self._meter_loop(), name="tenancy-meter")
         if self.governor is not None:
             self.env.process(self._governor_loop(), name="tenancy-governor")

@@ -13,17 +13,16 @@ Two halves:
   each trial with every invariant armed, and delta-debugs any violating
   schedule down to a minimal replayable JSON artifact.
 
-Like the tracer and auditor in :mod:`repro.obs`, an active verifier is
-installed globally so experiment modules can pick it up without
-plumbing it through every ``run()`` signature.
+Like the tracer and auditor in :mod:`repro.obs`, a verifier is attached
+with ``with RunSession(verifier=...)`` (:mod:`repro.session`), so
+experiment modules pick it up without plumbing it through every
+``run()`` signature.
 
 NB: ``repro.verify.fuzz`` and ``repro.verify.mutate`` are deliberately
 NOT imported here — they import the experiment harness, which imports
 the sim kernel, which imports this package. The CLI imports them
 lazily.
 """
-
-from typing import Optional
 
 from repro.verify.invariants import (
     BREAKER_STATES,
@@ -34,26 +33,6 @@ from repro.verify.invariants import (
     Violation,
 )
 
-_ACTIVE: Optional[Verifier] = None
-
-
-def install(verifier: Verifier) -> Verifier:
-    """Make ``verifier`` the process-wide active verifier."""
-    global _ACTIVE
-    _ACTIVE = verifier
-    return verifier
-
-
-def uninstall() -> None:
-    global _ACTIVE
-    _ACTIVE = None
-
-
-def active() -> Optional[Verifier]:
-    """The installed verifier, or None when verification is off."""
-    return _ACTIVE
-
-
 __all__ = [
     "BREAKER_STATES",
     "LEGAL_BREAKER_TRANSITIONS",
@@ -61,7 +40,4 @@ __all__ = [
     "NullVerifier",
     "Verifier",
     "Violation",
-    "install",
-    "uninstall",
-    "active",
 ]

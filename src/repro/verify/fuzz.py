@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import obs, verify
 from repro.baselines import BaselineSystem
 from repro.cancel.config import (
     CancelConfig,
@@ -49,6 +48,7 @@ from repro.obs.ledger import EnergyConservationError, EnergyLedger
 from repro.obs.tracer import Tracer
 from repro.platform.cluster import ClusterConfig
 from repro.platform.reliability import ReliabilityPolicy
+from repro.session import RunSession
 from repro.sim.rng import stable_hash
 from repro.tenancy.config import PowerCapConfig, TenancyConfig, TenantSpec
 from repro.traces.poisson import (
@@ -364,13 +364,11 @@ def run_trial(spec: Dict[str, object],
     config = _build_config(spec)
     verifier = Verifier()
     tracer = Tracer(ledger=EnergyLedger())
-    obs.install(tracer)
-    verify.install(verifier)
     violations: List[Dict[str, object]] = []
     fingerprint = None
     context = planted(mutate) if mutate else contextlib.nullcontext()
     try:
-        with context:
+        with RunSession(tracer=tracer, verifier=verifier), context:
             cluster = run_cluster(_build_system(spec), trace, config,
                                   fault_plan=plan)
             fingerprint = cluster_fingerprint(cluster)
@@ -384,9 +382,6 @@ def run_trial(spec: Dict[str, object],
             "invariant": "trial-exception", "time_s": -1.0,
             "run": str(spec.get("system", "")),
             "message": f"{type(exc).__name__}: {exc}", "details": {}})
-    finally:
-        obs.uninstall()
-        verify.uninstall()
     violations = [v.to_json() for v in verifier.violations] + violations
     return {"violations": violations, "fingerprint": fingerprint}
 

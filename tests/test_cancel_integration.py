@@ -20,7 +20,7 @@ The contract under test, in order of importance:
 
 import pytest
 
-from repro import obs, verify
+from repro import obs
 from repro.cancel import CancelConfig, DeadlineConfig, RetryBudgetConfig
 from repro.core import EcoFaaSSystem
 from repro.core.config import EcoFaaSConfig
@@ -29,6 +29,7 @@ from repro.faults.plan import FaultEvent, FaultPlan
 from repro.obs.ledger import EnergyLedger
 from repro.platform.cluster import ClusterConfig
 from repro.platform.reliability import ReliabilityPolicy
+from repro.session import RunSession
 from repro.verify.invariants import Verifier
 
 from tests.fingerprints import cluster_fingerprint
@@ -93,17 +94,11 @@ class TestArmedMechanisms:
     def run_armed(self, seed=3):
         trace, config, plan = chaos_scenario(seed, CancelConfig.full())
         ledger = EnergyLedger()
-        obs.install(obs.Tracer(ledger=ledger))
-        verify.install(Verifier())
-        try:
+        verifier = Verifier()
+        with RunSession(tracer=obs.Tracer(ledger=ledger), verifier=verifier):
             cluster = run_cluster(ecofaas(), trace, config,
                                   fault_plan=plan)
-            verifier = verify.active()
-            violations = list(verifier.violations)
-        finally:
-            obs.uninstall()
-            verify.uninstall()
-        return cluster, ledger, violations
+        return cluster, ledger, list(verifier.violations)
 
     def test_kills_budget_and_conservation(self):
         cluster, ledger, violations = self.run_armed()
@@ -172,15 +167,13 @@ class TestAllDownDeadlineBail:
 
     def test_outage_past_deadline_bails_instead_of_polling(self):
         trace, config, plan = self.scenario(crash_down_s=500.0)
-        tracer = obs.install(obs.Tracer())
-        try:
+        tracer = obs.Tracer()
+        with RunSession(tracer=tracer):
             cluster = run_cluster(ecofaas(), trace, config,
                                   fault_plan=plan)
-            bailed = [i for i in tracer.instants
-                      if i.name == "invocation_lost"
-                      and i.args.get("deadline_passed")]
-        finally:
-            obs.uninstall()
+        bailed = [i for i in tracer.instants
+                  if i.name == "invocation_lost"
+                  and i.args.get("deadline_passed")]
         # Pre-fix, the retry loop just kept polling for an up node while
         # every deadline expired: zero invocations were ever written off
         # and the stranded workflows sat in flight forever. Now each one

@@ -3,14 +3,18 @@
 Every artifact-consuming subcommand (``report``, ``explain``, ``bill``,
 ``diff``) gets the same treatment for a missing and for a corrupt input
 file: exit non-zero (2), print exactly one explanatory line on stderr,
-and never raise. These run no simulation.
+and never raise. The ledger-needing experiments refuse a tracer without
+a ledger the same way. These run no simulation.
 """
 
 import json
 
 import pytest
 
-from repro.cli import _bill, _diff, _explain, _report
+from repro.cli import _bill, _diff, _explain, _report, main
+from repro.experiments.common import ledger_tracer
+from repro.obs import AuditLog, EnergyLedger, Tracer
+from repro.session import RunSession, current_session
 
 SUBCOMMANDS = {
     "report": _report,
@@ -72,3 +76,26 @@ def test_diff_missing_b_side(tmp_path, capsys):
     _, err = capsys.readouterr()
     assert rc == 2
     assert _one_line(err)
+
+
+def test_ledger_tracer_adds_uses_or_refuses_a_ledger():
+    audit, shared = AuditLog(), Tracer(ledger=EnergyLedger())
+    with RunSession(audit=audit), ledger_tracer() as private:
+        # The nested session keeps the outer session's other observers.
+        assert private.ledger is not None
+        assert current_session() == RunSession(tracer=private, audit=audit)
+    with RunSession(tracer=shared), ledger_tracer() as tracer:
+        assert tracer is shared
+    with RunSession(tracer=Tracer()):
+        with pytest.raises(ValueError, match="--ledger"):
+            with ledger_tracer():
+                pass
+
+
+@pytest.mark.parametrize("experiment", ["tenancy", "retrystorm"])
+def test_trace_without_ledger_is_one_line_failure(experiment, tmp_path,
+                                                  capsys):
+    rc = main([experiment, "--trace", str(tmp_path / "t.json")])
+    _, err = capsys.readouterr()
+    assert rc == 1
+    assert _one_line(err) and "--ledger" in err

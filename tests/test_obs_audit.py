@@ -8,7 +8,6 @@ unaudited one.
 
 import pytest
 
-from repro import obs
 from repro.core import EcoFaaSSystem
 from repro.core.config import EcoFaaSConfig
 from repro.experiments import overload as overload_experiment
@@ -16,21 +15,20 @@ from repro.experiments import partition as partition_experiment
 from repro.experiments.common import make_load_trace, run_cluster
 from repro.obs.audit import AuditLog, load_jsonl
 from repro.platform.cluster import ClusterConfig
+from repro.session import RunSession
 
 
 def run_audited(seed=6, duration_s=8.0):
     """One guarded overload run with an audit log installed."""
-    audit = obs.install_audit(AuditLog())
-    try:
-        trace = make_load_trace("high", 2, duration_s, seed=seed,
-                                cores_per_server=20)
-        config = ClusterConfig(
-            n_servers=2, seed=seed,
-            guard=overload_experiment.guard_config(2, 20))
+    audit = AuditLog()
+    trace = make_load_trace("high", 2, duration_s, seed=seed,
+                            cores_per_server=20)
+    config = ClusterConfig(
+        n_servers=2, seed=seed,
+        guard=overload_experiment.guard_config(2, 20))
+    with RunSession(audit=audit):
         cluster = run_cluster(EcoFaaSSystem(EcoFaaSConfig()), trace,
                               config)
-    finally:
-        obs.uninstall_audit()
     return cluster, audit
 
 
@@ -48,12 +46,10 @@ def test_control_plane_decisions_are_recorded():
 
 
 def test_ha_decisions_are_recorded():
-    audit = obs.install_audit(AuditLog())
-    try:
+    audit = AuditLog()
+    with RunSession(audit=audit):
         partition_experiment.run_one(seed=0, with_faults=True,
                                      duration_s=25.0, n_servers=3)
-    finally:
-        obs.uninstall_audit()
     kinds = {record.kind for record in audit.records}
     assert "ha_failover" in kinds
     assert "ha_redispatch" in kinds

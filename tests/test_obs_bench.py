@@ -10,6 +10,7 @@ from repro.core import EcoFaaSSystem
 from repro.core.config import EcoFaaSConfig
 from repro.experiments.common import make_load_trace, run_cluster
 from repro.platform.cluster import ClusterConfig
+from repro.session import current_session
 
 
 def tiny_panel(quick):
@@ -69,7 +70,6 @@ def test_compare_flags_injected_sim_regression(tiny_bench):
 
 
 def test_run_bench_fingerprints_attaches_chains(tiny_bench):
-    import repro.obs as obs
     document = bench.run_bench(quick=True, profile=False,
                                fingerprints=True)
     entry = document["experiments"]["tiny_low"]
@@ -78,7 +78,7 @@ def test_run_bench_fingerprints_attaches_chains(tiny_bench):
     for chain in section["chains"].values():
         assert len(chain) == section["n_epochs"]
     assert {"metrics", "instants"} <= set(section["chains"])
-    assert obs.active_tracer() is None  # uninstalled after the panel
+    assert current_session().tracer is None  # detached after the panel
 
 
 def test_run_bench_fingerprints_off_adds_nothing(tiny_bench):
@@ -223,9 +223,8 @@ def test_bench_profile_section(tiny_bench):
 
 
 def test_bench_profile_leaves_no_active_profiler(tiny_bench):
-    from repro.obs import prof
     bench.run_bench(quick=True)
-    assert prof.active() is None
+    assert current_session().profiler is None
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from repro.obs.burnrate import (
     bucket_index,
 )
 from repro.platform.cluster import ClusterConfig
+from repro.session import RunSession
 
 
 def test_bucket_index_is_monotonic_and_consistent_with_bounds():
@@ -106,17 +107,13 @@ def test_slow_burn_tracks_sustained_budget_consumption():
 
 def run_monitored(seed=6):
     monitor = BurnRateMonitor()
-    obs.install(obs.Tracer(burnrate=monitor))
-    try:
-        trace = make_load_trace("high", 2, 8.0, seed=seed,
-                                cores_per_server=20)
-        config = ClusterConfig(
-            n_servers=2, seed=seed,
-            guard=overload_experiment.guard_config(2, 20))
+    trace = make_load_trace("high", 2, 8.0, seed=seed, cores_per_server=20)
+    config = ClusterConfig(
+        n_servers=2, seed=seed,
+        guard=overload_experiment.guard_config(2, 20))
+    with RunSession(tracer=obs.Tracer(burnrate=monitor)):
         cluster = run_cluster(EcoFaaSSystem(EcoFaaSConfig()), trace,
                               config)
-    finally:
-        obs.uninstall()
     return cluster, monitor
 
 
@@ -147,16 +144,13 @@ def test_burn_instants_land_in_epoch_metrics_columns():
     from repro.obs.export import epoch_rows
 
     monitor = BurnRateMonitor()
-    tracer = obs.install(obs.Tracer(burnrate=monitor))
-    try:
-        trace = make_load_trace("high", 2, 8.0, seed=6,
-                                cores_per_server=20)
-        config = ClusterConfig(
-            n_servers=2, seed=6,
-            guard=overload_experiment.guard_config(2, 20))
+    tracer = obs.Tracer(burnrate=monitor)
+    trace = make_load_trace("high", 2, 8.0, seed=6, cores_per_server=20)
+    config = ClusterConfig(
+        n_servers=2, seed=6,
+        guard=overload_experiment.guard_config(2, 20))
+    with RunSession(tracer=tracer):
         run_cluster(EcoFaaSSystem(EcoFaaSConfig()), trace, config)
-    finally:
-        obs.uninstall()
     rows = epoch_rows(tracer, epoch_s=2.0)
     assert all("slo_fast_burns" in row and "slo_slow_burns" in row
                for row in rows)

@@ -18,6 +18,7 @@ from repro.core.config import EcoFaaSConfig
 from repro.experiments.common import make_load_trace, run_cluster
 from repro.faults.plan import FaultPlan
 from repro.platform.cluster import ClusterConfig
+from repro.session import RunSession
 
 CONFIG = ClusterConfig(n_servers=2, drain_s=4.0)
 
@@ -28,12 +29,10 @@ def small_trace():
 
 def run_once(system_factory, traced, fault_plan=None):
     """One run; returns (cluster, tracer-or-None)."""
-    tracer = obs.install(obs.Tracer()) if traced else None
-    try:
+    tracer = obs.Tracer() if traced else None
+    with RunSession(tracer=tracer):
         cluster = run_cluster(system_factory(), small_trace(), CONFIG,
                               fault_plan=fault_plan)
-    finally:
-        obs.uninstall()
     return cluster, tracer
 
 
@@ -74,13 +73,11 @@ def test_traced_chaos_run_is_bit_identical_to_untraced():
         reliability=ReliabilityPolicy(max_retries=8, backoff_base_s=0.05))
     results = []
     for traced in (False, True):
-        tracer = obs.install(obs.Tracer()) if traced else None
-        try:
+        tracer = obs.Tracer() if traced else None
+        with RunSession(tracer=tracer):
             cluster = run_cluster(EcoFaaSSystem(EcoFaaSConfig()),
                                   small_trace(), chaos_config,
                                   fault_plan=plan())
-        finally:
-            obs.uninstall()
         results.append(cluster)
     untraced, traced_cluster = results
     assert metrics_fingerprint(traced_cluster) == \

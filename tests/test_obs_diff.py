@@ -30,6 +30,7 @@ from repro.obs.fingerprint import FingerprintRecorder, digest, fold_chain
 from repro.obs.ledger import EnergyLedger
 from repro.platform.cluster import ClusterConfig
 from repro.platform.reliability import ReliabilityPolicy
+from repro.session import RunSession
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_TEXT = os.path.join(DATA_DIR, "diff_golden.txt")
@@ -66,26 +67,22 @@ def test_first_mismatch_prefix_diverges_at_shorter_length():
 # ---------------------------------------------------------------------------
 def _run_arm(chaos: bool):
     """One reference run with fingerprints + ledger + audit armed."""
-    tracer = obs.install(obs.Tracer(ledger=EnergyLedger(),
-                                    fingerprint=FingerprintRecorder()))
-    audit = obs.install_audit(obs.AuditLog())
-    try:
-        if chaos:
-            config = ClusterConfig(
-                n_servers=2, drain_s=4.0,
-                reliability=ReliabilityPolicy(max_retries=8,
-                                              backoff_base_s=0.05))
-            plan = FaultPlan.calibrated(6.0, 2, ["WebServ", "CNNServ"],
-                                        seed=5)
-        else:
-            config = ClusterConfig(n_servers=2, drain_s=4.0)
-            plan = None
+    tracer = obs.Tracer(ledger=EnergyLedger(),
+                        fingerprint=FingerprintRecorder())
+    audit = obs.AuditLog()
+    if chaos:
+        config = ClusterConfig(
+            n_servers=2, drain_s=4.0,
+            reliability=ReliabilityPolicy(max_retries=8,
+                                          backoff_base_s=0.05))
+        plan = FaultPlan.calibrated(6.0, 2, ["WebServ", "CNNServ"], seed=5)
+    else:
+        config = ClusterConfig(n_servers=2, drain_s=4.0)
+        plan = None
+    with RunSession(tracer=tracer, audit=audit):
         run_cluster(EcoFaaSSystem(EcoFaaSConfig()),
                     make_load_trace("low", 2, 6.0, seed=3), config,
                     fault_plan=plan)
-    finally:
-        obs.uninstall()
-        obs.uninstall_audit()
     return tracer, audit
 
 

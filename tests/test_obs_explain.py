@@ -21,24 +21,20 @@ from repro.obs.explain import (
     missed_workflows,
 )
 from repro.platform.cluster import ClusterConfig
+from repro.session import RunSession
 
 
 @pytest.fixture(scope="module")
 def overload_artifacts(tmp_path_factory):
     """Trace + audit files from one guarded overload run."""
     out = tmp_path_factory.mktemp("overload")
-    tracer = obs.install(obs.Tracer())
-    audit = obs.install_audit(obs.AuditLog())
-    try:
-        trace = make_load_trace("high", 2, 12.0, seed=6,
-                                cores_per_server=20)
-        config = ClusterConfig(
-            n_servers=2, seed=6,
-            guard=overload_experiment.guard_config(2, 20))
+    tracer, audit = obs.Tracer(), obs.AuditLog()
+    trace = make_load_trace("high", 2, 12.0, seed=6, cores_per_server=20)
+    config = ClusterConfig(
+        n_servers=2, seed=6,
+        guard=overload_experiment.guard_config(2, 20))
+    with RunSession(tracer=tracer, audit=audit):
         run_cluster(EcoFaaSSystem(EcoFaaSConfig()), trace, config)
-    finally:
-        obs.uninstall()
-        obs.uninstall_audit()
     trace_path = out / "trace.json"
     audit_path = out / "audit.jsonl"
     obs.write_chrome_trace(tracer, str(trace_path))
@@ -50,14 +46,10 @@ def overload_artifacts(tmp_path_factory):
 def partition_artifacts(tmp_path_factory):
     """Trace + audit files from one HA partition run."""
     out = tmp_path_factory.mktemp("partition")
-    tracer = obs.install(obs.Tracer())
-    audit = obs.install_audit(obs.AuditLog())
-    try:
+    tracer, audit = obs.Tracer(), obs.AuditLog()
+    with RunSession(tracer=tracer, audit=audit):
         partition_experiment.run_one(seed=0, with_faults=True,
                                      duration_s=30.0, n_servers=3)
-    finally:
-        obs.uninstall()
-        obs.uninstall_audit()
     trace_path = out / "trace.json"
     audit_path = out / "audit.jsonl"
     obs.write_chrome_trace(tracer, str(trace_path))

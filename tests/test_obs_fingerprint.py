@@ -35,6 +35,7 @@ from repro.obs.fingerprint import (
 from repro.obs.ledger import EnergyLedger
 from repro.platform.cluster import ClusterConfig
 from repro.platform.reliability import ReliabilityPolicy
+from repro.session import RunSession
 
 
 # ---------------------------------------------------------------------------
@@ -100,21 +101,17 @@ def test_recorder_rejects_nonpositive_epoch():
 # ---------------------------------------------------------------------------
 def _armed_run(fault_plan=None, config=None):
     """One EcoFaaS reference run with every observer armed."""
-    tracer = obs.install(obs.Tracer(ledger=EnergyLedger(),
-                                    fingerprint=FingerprintRecorder()))
-    audit = obs.install_audit(obs.AuditLog())
-    verifier = verify.install(verify.Verifier())
-    try:
+    session = RunSession(
+        tracer=obs.Tracer(ledger=EnergyLedger(),
+                          fingerprint=FingerprintRecorder()),
+        audit=obs.AuditLog(), verifier=verify.Verifier())
+    with session:
         cluster = run_cluster(
             EcoFaaSSystem(EcoFaaSConfig()),
             make_load_trace("low", 2, 6.0, seed=3),
             config or ClusterConfig(n_servers=2, drain_s=4.0),
             fault_plan=fault_plan)
-    finally:
-        obs.uninstall()
-        obs.uninstall_audit()
-        verify.uninstall()
-    return cluster, tracer, audit, verifier
+    return cluster, session.tracer, session.audit, session.verifier
 
 
 @pytest.fixture(scope="module")

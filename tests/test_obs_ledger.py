@@ -21,6 +21,7 @@ from repro.obs.ledger import EnergyConservationError, EnergyLedger, LedgerEntry
 from repro.obs.registry import LEDGER_COMPONENTS
 from repro.platform.cluster import ClusterConfig
 from repro.platform.reliability import ReliabilityPolicy
+from repro.session import RunSession
 
 
 def ecofaas():
@@ -61,11 +62,8 @@ def scenario(name, seed):
 def run_with_ledger(name, seed):
     system, trace, config, plan = scenario(name, seed)
     ledger = EnergyLedger()
-    obs.install(obs.Tracer(ledger=ledger))
-    try:
+    with RunSession(tracer=obs.Tracer(ledger=ledger)):
         cluster = run_cluster(system, trace, config, fault_plan=plan)
-    finally:
-        obs.uninstall()
     return cluster, ledger
 
 
@@ -112,12 +110,9 @@ def test_run_to_completion_attributes_block_energy():
     by_system = {}
     for factory in (PowerCtrlSystem, ecofaas):
         ledger = EnergyLedger()
-        obs.install(obs.Tracer(ledger=ledger))
-        try:
+        with RunSession(tracer=obs.Tracer(ledger=ledger)):
             run_cluster(factory(), trace,
                         ClusterConfig(n_servers=2, seed=1))
-        finally:
-            obs.uninstall()
         by_system[factory] = ledger.reports[0].by_component
     assert by_system[PowerCtrlSystem]["block"] > 0.0
     assert by_system[ecofaas]["block"] == 0.0

@@ -4,6 +4,7 @@ import pytest
 
 from repro.obs import prof
 from repro.obs.registry import PROFILE_COMPONENTS
+from repro.session import RunSession, current_session
 
 
 class FakeClock:
@@ -153,25 +154,28 @@ def test_decorator_dispatches_only_while_installed_and_running():
         calls.append(x)
         return x * 2
 
-    # No profiler installed: plain call.
+    # No profiler in the session: plain call.
     assert work(1) == 2
-    assert prof.active() is None
+    assert current_session().profiler is None
 
     p = prof.Profiler(clock=FakeClock())
-    prof.install(p)
-    try:
-        assert prof.active() is p
-        # Installed but not started: still a plain call.
+    with RunSession(profiler=p):
+        # In the session but not started: still a plain call.
         assert work(2) == 4
         assert ("harness", "tenancy") not in p.calls
         p.start()
         assert work(3) == 6
-        p.stop()
-        assert p.calls[("harness", "tenancy")] == 1
-    finally:
-        prof.uninstall()
-    assert prof.active() is None
-    assert calls == [1, 2, 3]
+        with RunSession():
+            assert work(4) == 8  # the inner session has no profiler
+        assert work(5) == 10  # ...and leaving it restores the outer one
+    assert current_session().profiler is None
+    with pytest.raises(RuntimeError, match="boom"):
+        with RunSession(profiler=p):
+            raise RuntimeError("boom")
+    assert work(6) == 12  # still running, but no longer in a session
+    p.stop()
+    assert p.calls[("harness", "tenancy")] == 2
+    assert calls == [1, 2, 3, 4, 5, 6]
 
 
 def test_null_profiler_is_inert():

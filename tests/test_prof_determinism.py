@@ -2,7 +2,7 @@
 
 Three guarantees:
 
-* with ``repro.obs.prof`` imported but no profiler installed, the
+* with ``repro.obs.prof`` imported but no profiler in the session, the
   reference runs still reproduce the stored seed fingerprints
   byte-for-byte (including under chaos) — profiler-off is bit-identical;
 * a *profiled* run produces bit-identical metrics to an unprofiled run
@@ -22,26 +22,25 @@ from tests.fingerprints import (
     reference_runs,
 )
 from repro.obs import prof
+from repro.session import RunSession, current_session
 
 MIN_CONSERVATION = 0.90
 
 
 def test_profiler_off_reproduces_seed_fingerprints():
     """The hard opt-in contract, chaos run included."""
-    assert prof.active() is None
+    assert current_session().profiler is None
     assert current_fingerprints() == load_reference()
 
 
 def test_profiled_runs_are_bit_identical_to_unprofiled():
     for label, factory in reference_runs():
         plain = cluster_fingerprint(factory())
-        profiler = prof.install(prof.Profiler())
-        try:
+        profiler = prof.Profiler()
+        with RunSession(profiler=profiler):
             profiler.start()
             profiled_cluster = factory()
             profiler.stop()
-        finally:
-            prof.uninstall()
         assert cluster_fingerprint(profiled_cluster) == plain, label
         # And the profiler actually observed the run.
         assert profiler.pops > 0, label

@@ -22,6 +22,7 @@ from repro.experiments.overload import guard_config
 from repro.faults.plan import FaultPlan
 from repro.platform.cluster import ClusterConfig
 from repro.platform.reliability import ReliabilityPolicy
+from repro.session import RunSession
 from repro.tenancy import (
     PowerCapConfig,
     TenancyConfig,
@@ -76,14 +77,11 @@ def run_armed(tenancy, trace=None, fault_plan=None, policy=None,
 def armed_artifacts(tmp_path_factory):
     """One enforced, capped, chaos-free run with every artifact exported."""
     out = tmp_path_factory.mktemp("tenancy")
-    tracer = obs.install(obs.Tracer(ledger=obs.EnergyLedger()))
-    audit = obs.install_audit(obs.AuditLog())
-    try:
+    tracer = obs.Tracer(ledger=obs.EnergyLedger())
+    audit = obs.AuditLog()
+    with RunSession(tracer=tracer, audit=audit):
         cluster = run_armed(tight_tenancy(
             power_cap=PowerCapConfig(cap_w=150.0, period_s=0.5)))
-    finally:
-        obs.uninstall()
-        obs.uninstall_audit()
     trace_path = str(out / "trace.json")
     ledger_path = str(out / "ledger.json")
     audit_path = str(out / "audit.jsonl")
@@ -181,8 +179,8 @@ class TestConservation:
                                                     rel=1e-6)
 
     def run_regime(self, regime):
-        tracer = obs.install(obs.Tracer(ledger=obs.EnergyLedger()))
-        try:
+        tracer = obs.Tracer(ledger=obs.EnergyLedger())
+        with RunSession(tracer=tracer):
             if regime == "plain":
                 cluster = run_armed(tight_tenancy())
             elif regime == "chaos":
@@ -201,8 +199,6 @@ class TestConservation:
                     seed=7))
                 cluster = run_armed(tight_tenancy(), trace=trace,
                                     guard=guard_config(2, 20))
-        finally:
-            obs.uninstall()
         return tracer, cluster
 
     @pytest.mark.parametrize("regime", ["plain", "chaos", "overload"])
@@ -229,11 +225,9 @@ class TestReportAndBillPipelines:
         assert total_share == pytest.approx(1.0, abs=1e-6)
 
     def test_report_without_tenancy_has_no_section(self, tmp_path):
-        tracer = obs.install(obs.Tracer())
-        try:
+        tracer = obs.Tracer()
+        with RunSession(tracer=tracer):
             run_armed(None)
-        finally:
-            obs.uninstall()
         path = str(tmp_path / "plain.json")
         obs.write_chrome_trace(tracer, path)
         text = obs.report(path)

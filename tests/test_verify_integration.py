@@ -10,7 +10,7 @@ chaos one with live faults and retries) must report zero violations.
 
 import pytest
 
-from repro import verify
+from repro.session import RunSession, current_session
 from repro.verify import Verifier
 
 from tests.fingerprints import (
@@ -22,11 +22,8 @@ from tests.fingerprints import (
 
 @pytest.fixture
 def installed_verifier():
-    verifier = verify.install(Verifier())
-    try:
-        yield verifier
-    finally:
-        verify.uninstall()
+    with RunSession(verifier=Verifier()) as session:
+        yield session.verifier
 
 
 class TestArmedRunsMatchSeed:
@@ -57,7 +54,7 @@ class TestArmedRunsMatchSeed:
 
 class TestUninstalledIsUntouched:
     def test_no_active_verifier_between_tests(self):
-        assert verify.active() is None
+        assert current_session().verifier is None
 
 
 class TestRepoAllVerifyExitCodes:
@@ -69,7 +66,7 @@ class TestRepoAllVerifyExitCodes:
         import sys
         import types
 
-        from repro import cli, verify as verify_mod
+        from repro import cli
         from repro.experiments.common import ExperimentResult
 
         def make(name, violate):
@@ -78,7 +75,7 @@ class TestRepoAllVerifyExitCodes:
             def run(quick=True, seed=0):
                 result = ExperimentResult(name, "stub")
                 result.add(value=1)
-                verifier = verify_mod.active()
+                verifier = current_session().verifier
                 if violate and verifier is not None:
                     verifier.record("breaker-transition",
                                     "synthetic violation for the exit"

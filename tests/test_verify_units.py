@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro import verify
+from repro.baselines import BaselineSystem
+from repro.obs import NULL_PROFILER, NULL_TRACER, AuditLog, Profiler, Tracer
+from repro.platform.cluster import ClusterConfig
+from repro.session import RunSession, current_session
 from repro.sim.engine import Environment
 from repro.tenancy.config import TenantSpec
 from repro.verify import (
@@ -32,15 +35,29 @@ class TestNullVerifier:
         null.close_run(None)
 
 
-class TestInstall:
-    def test_install_uninstall_round_trip(self):
-        assert verify.active() is None
-        verifier = verify.install(Verifier())
-        try:
-            assert verify.active() is verifier
-        finally:
-            verify.uninstall()
-        assert verify.active() is None
+class TestSession:
+    def test_nested_and_failed_sessions_restore_the_outer_one(self):
+        outer = Verifier()
+        with RunSession(verifier=outer):
+            with RunSession(verifier=Verifier()) as inner:
+                assert current_session() is inner
+            assert current_session().verifier is outer
+            with pytest.raises(RuntimeError, match="boom"):
+                with RunSession():
+                    raise RuntimeError("boom")
+            assert current_session().verifier is outer
+        assert current_session().verifier is None
+
+    def test_env_built_after_exit_has_no_observer(self):
+        def build_env():
+            return current_session().open_run(
+                BaselineSystem(), ClusterConfig(n_servers=1), None, "x").env
+        with RunSession(tracer=Tracer(), audit=AuditLog(),
+                        profiler=Profiler(), verifier=Verifier()) as session:
+            assert build_env().verify is session.verifier
+        env = build_env()
+        assert (env.trace, env.audit, env.prof, env.verify) == (
+            NULL_TRACER, None, NULL_PROFILER, NULL_VERIFIER)
 
 
 class TestViolation:
