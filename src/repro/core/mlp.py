@@ -12,7 +12,7 @@ multiplies — tens of microseconds, as the paper reports.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,8 +24,10 @@ class _RunningStandardizer:
         self.count = 0
         self.mean = np.zeros(n_features)
         self.m2 = np.zeros(n_features)
+        self._std = None  # per-feature std of the current m2; update clears
 
     def update(self, rows: np.ndarray) -> None:
+        self._std = None
         for row in rows:
             self.count += 1
             delta = row - self.mean
@@ -35,13 +37,32 @@ class _RunningStandardizer:
     def transform(self, rows: np.ndarray) -> np.ndarray:
         if self.count < 2:
             return rows - self.mean
-        std = np.sqrt(self.m2 / (self.count - 1))
-        std[std < 1e-9] = 1.0
-        return (rows - self.mean) / std
+        if self._std is None:
+            std = np.sqrt(self.m2 / (self.count - 1))
+            std[std < 1e-9] = 1.0
+            self._std = std
+        return (rows - self.mean) / self._std
+
+
+def _flat_buffer(shapes) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """A zeroed float64 buffer and its consecutive C-contiguous views,
+    one per shape."""
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    flat = np.zeros(sum(sizes))
+    views, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return flat, views
 
 
 class MLPRegressor:
-    """input → hidden → hidden → scalar, ReLU activations, Adam updates."""
+    """input → hidden → hidden → scalar, ReLU activations, Adam updates.
+
+    The parameters, their gradients and the two Adam moments each live in
+    one flat float64 buffer; ``_params`` and ``_grads`` are per-layer views
+    into theirs, so one Adam step is a single vector update.
+    """
 
     def __init__(self, n_inputs: int, hidden: Tuple[int, int] = (32, 16),
                  learning_rate: float = 1e-2, log_target: bool = True,
@@ -57,22 +78,21 @@ class MLPRegressor:
         self.learning_rate = learning_rate
         rng = np.random.default_rng(seed)
         h1, h2 = hidden
-        # He initialisation for the ReLU layers.
-        self._params = [
-            rng.normal(0, np.sqrt(2.0 / n_inputs), size=(n_inputs, h1)),
-            np.zeros(h1),
-            rng.normal(0, np.sqrt(2.0 / h1), size=(h1, h2)),
-            np.zeros(h2),
-            rng.normal(0, np.sqrt(2.0 / h2), size=(h2, 1)),
-            np.zeros(1),
-        ]
-        self._adam_m = [np.zeros_like(p) for p in self._params]
-        self._adam_v = [np.zeros_like(p) for p in self._params]
+        shapes = [(n_inputs, h1), (h1,), (h1, h2), (h2,), (h2, 1), (1,)]
+        self._flat_params, self._params = _flat_buffer(shapes)
+        # He initialisation for the ReLU layers; biases start at zero.
+        for i, fan_in in ((0, n_inputs), (2, h1), (4, h2)):
+            self._params[i][...] = rng.normal(0, np.sqrt(2.0 / fan_in),
+                                              size=shapes[i])
+        self._flat_grads, self._grads = _flat_buffer(shapes)
+        self._adam_m = np.zeros_like(self._flat_params)
+        self._adam_v = np.zeros_like(self._flat_params)
         self._adam_t = 0
         self._standardizer = _RunningStandardizer(n_inputs)
         self._target_mean = 0.0
         self._target_m2 = 0.0
         self._target_count = 0
+        self._target_std_cache = None  # _encode_targets clears it
         self.samples_seen = 0
 
     # ------------------------------------------------------------------
@@ -87,32 +107,32 @@ class MLPRegressor:
         out = a2 @ w3 + b3
         return out, (x, z1, a1, z2, a2)
 
-    def _backward(self, cache, grad_out: np.ndarray):
+    def _backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
+        """Write the gradients into ``_grads``; return the flat buffer."""
         x, z1, a1, z2, a2 = cache
         w1, b1, w2, b2, w3, b3 = self._params
-        grads = [None] * 6
-        grads[4] = a2.T @ grad_out
-        grads[5] = grad_out.sum(axis=0)
+        grads = self._grads
+        np.matmul(a2.T, grad_out, out=grads[4])
+        np.sum(grad_out, axis=0, out=grads[5])
         da2 = grad_out @ w3.T
         dz2 = da2 * (z2 > 0)
-        grads[2] = a1.T @ dz2
-        grads[3] = dz2.sum(axis=0)
+        np.matmul(a1.T, dz2, out=grads[2])
+        np.sum(dz2, axis=0, out=grads[3])
         da1 = dz2 @ w2.T
         dz1 = da1 * (z1 > 0)
-        grads[0] = x.T @ dz1
-        grads[1] = dz1.sum(axis=0)
-        return grads
+        np.matmul(x.T, dz1, out=grads[0])
+        np.sum(dz1, axis=0, out=grads[1])
+        return self._flat_grads
 
-    def _adam_step(self, grads) -> None:
+    def _adam_step(self, grad: np.ndarray) -> None:
         self._adam_t += 1
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         lr = self.learning_rate
-        for i, grad in enumerate(grads):
-            self._adam_m[i] = beta1 * self._adam_m[i] + (1 - beta1) * grad
-            self._adam_v[i] = beta2 * self._adam_v[i] + (1 - beta2) * grad ** 2
-            m_hat = self._adam_m[i] / (1 - beta1 ** self._adam_t)
-            v_hat = self._adam_v[i] / (1 - beta2 ** self._adam_t)
-            self._params[i] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        self._adam_m = beta1 * self._adam_m + (1 - beta1) * grad
+        self._adam_v = beta2 * self._adam_v + (1 - beta2) * grad ** 2
+        m_hat = self._adam_m / (1 - beta1 ** self._adam_t)
+        v_hat = self._adam_v / (1 - beta2 ** self._adam_t)
+        self._flat_params -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
     # ------------------------------------------------------------------
     # Target normalisation
@@ -127,13 +147,18 @@ class MLPRegressor:
             delta = value - self._target_mean
             self._target_mean += delta / self._target_count
             self._target_m2 += delta * (value - self._target_mean)
+        self._target_std_cache = None
         return (y - self._target_mean) / self._target_std()
 
     def _target_std(self) -> float:
-        if self._target_count < 2:
-            return 1.0
-        std = float(np.sqrt(self._target_m2 / (self._target_count - 1)))
-        return std if std > 1e-9 else 1.0
+        if self._target_std_cache is None:
+            std = 1.0
+            if self._target_count >= 2:
+                std = float(np.sqrt(self._target_m2
+                                    / (self._target_count - 1)))
+                std = std if std > 1e-9 else 1.0
+            self._target_std_cache = std
+        return self._target_std_cache
 
     def _decode(self, out: np.ndarray) -> np.ndarray:
         decoded = out * self._target_std() + self._target_mean
@@ -169,8 +194,8 @@ class MLPRegressor:
             out, cache = self._forward(x_std)
             residual = out - y_norm
             mse = float(np.mean(residual ** 2))
-            grads = self._backward(cache, 2.0 * residual / len(y_norm))
-            self._adam_step(grads)
+            grad = self._backward(cache, 2.0 * residual / len(y_norm))
+            self._adam_step(grad)
         return mse
 
     def predict(self, x: Sequence[Sequence[float]]) -> np.ndarray:

@@ -75,6 +75,8 @@ class FrequencyProfile:
         self._t_run: Dict[float, AdaptiveEwma] = {}
         self._energy: Dict[float, AdaptiveEwma] = {}
         self._t_block = AdaptiveEwma()
+        # ``_fit()`` of the current ``_t_run``; ``observe`` clears it.
+        self._fit_cache: Optional[tuple] = None
         self.use_mlp = use_mlp
         self.feature_names: List[str] = sorted(feature_names or [])
         self._mlp: Optional[MLPRegressor] = None
@@ -101,6 +103,7 @@ class FrequencyProfile:
         """Absorb one measured invocation (the dispatcher's profiling)."""
         self.history.record(freq_ghz, t_run_s, t_block_s, energy_j, features)
         self._t_run.setdefault(freq_ghz, AdaptiveEwma()).update(t_run_s)
+        self._fit_cache = None
         self._energy.setdefault(freq_ghz, AdaptiveEwma()).update(energy_j)
         self._t_block.update(t_block_s)
         self._observations += 1
@@ -142,11 +145,19 @@ class FrequencyProfile:
     # Frequency scaling
     # ------------------------------------------------------------------
     def _fit(self) -> tuple:
-        points = [(freq, ewma.forecast())
-                  for freq, ewma in self._t_run.items() if ewma.initialized]
-        if not points:
-            raise RuntimeError("no T_Run observations yet")
-        return fit_compute_memory(points)
+        """``(a, b)`` fitted to the smoothed ``T_Run`` levels, memoized.
+
+        ``_t_run`` is written only in :meth:`observe`, which clears the
+        cache; any new writer must clear it too.
+        """
+        if self._fit_cache is None:
+            points = [(freq, ewma.forecast())
+                      for freq, ewma in self._t_run.items()
+                      if ewma.initialized]
+            if not points:
+                raise RuntimeError("no T_Run observations yet")
+            self._fit_cache = fit_compute_memory(points)
+        return self._fit_cache
 
     def _to_max_freq(self, t_run_s: float, freq_ghz: float,
                      a: float, b: float) -> float:

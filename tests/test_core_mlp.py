@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.mlp import MLPRegressor
+from repro.core.mlp import MLPRegressor, _RunningStandardizer
 
 
 def make_polynomial_data(n, rng, irrelevant=2):
@@ -13,6 +13,92 @@ def make_polynomial_data(n, rng, irrelevant=2):
     x = np.hstack([x_rel, x_noise])
     y = 0.05 * x_rel[:, 0] * np.exp(rng.normal(0, 0.02, size=n))
     return x, y
+
+
+class _ReferenceStandardizer(_RunningStandardizer):
+    """Recomputes the per-feature std on every transform."""
+
+    def transform(self, rows):
+        if self.count < 2:
+            return rows - self.mean
+        std = np.sqrt(self.m2 / (self.count - 1))
+        std[std < 1e-9] = 1.0
+        return (rows - self.mean) / std
+
+
+class ReferenceMLP(MLPRegressor):
+    """The per-array reference: one array per parameter, gradient and
+    Adam moment, with no cached standard deviations."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._params = [p.copy() for p in self._params]
+        self._adam_m = [np.zeros_like(p) for p in self._params]
+        self._adam_v = [np.zeros_like(p) for p in self._params]
+        self._standardizer = _ReferenceStandardizer(self.n_inputs)
+
+    def _backward(self, cache, grad_out):
+        x, z1, a1, z2, a2 = cache
+        w1, b1, w2, b2, w3, b3 = self._params
+        grads = [None] * 6
+        grads[4] = a2.T @ grad_out
+        grads[5] = grad_out.sum(axis=0)
+        da2 = grad_out @ w3.T
+        dz2 = da2 * (z2 > 0)
+        grads[2] = a1.T @ dz2
+        grads[3] = dz2.sum(axis=0)
+        da1 = dz2 @ w2.T
+        dz1 = da1 * (z1 > 0)
+        grads[0] = x.T @ dz1
+        grads[1] = dz1.sum(axis=0)
+        return grads
+
+    def _adam_step(self, grads):
+        self._adam_t += 1
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        lr = self.learning_rate
+        for i, grad in enumerate(grads):
+            self._adam_m[i] = beta1 * self._adam_m[i] + (1 - beta1) * grad
+            self._adam_v[i] = beta2 * self._adam_v[i] + (1 - beta2) * grad ** 2
+            m_hat = self._adam_m[i] / (1 - beta1 ** self._adam_t)
+            v_hat = self._adam_v[i] / (1 - beta2 ** self._adam_t)
+            self._params[i] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+    def _target_std(self):
+        if self._target_count < 2:
+            return 1.0
+        std = float(np.sqrt(self._target_m2 / (self._target_count - 1)))
+        return std if std > 1e-9 else 1.0
+
+
+class TestFlatBufferMatchesReference:
+    """The flat-buffer Adam step and the cached stds are bit-identical to
+    the per-array reference."""
+
+    @pytest.mark.parametrize("log_target", [True, False])
+    @pytest.mark.parametrize("batch", [1, 2, 32])
+    def test_side_by_side_training_is_bit_identical(self, batch, log_target):
+        rng = np.random.default_rng(batch)
+        fast = MLPRegressor(4, log_target=log_target, seed=3)
+        reference = ReferenceMLP(4, log_target=log_target, seed=3)
+        for _ in range(40):
+            x = rng.lognormal(0.0, 1.0, size=(batch, 4))
+            y = rng.lognormal(-2.0, 1.0, size=batch)
+            if not log_target:
+                y -= 0.1
+            assert (fast.partial_fit(x, y, epochs=2)
+                    == reference.partial_fit(x, y, epochs=2))
+            for mine, theirs in zip(fast._params, reference._params):
+                assert np.array_equal(mine, theirs)
+            probe = rng.lognormal(0.0, 1.0, size=(3, 4))
+            assert np.array_equal(fast.predict(probe),
+                                  reference.predict(probe))
+
+    def test_params_are_views_into_one_buffer(self):
+        model = MLPRegressor(3, seed=0)
+        assert all(p.base is model._flat_params for p in model._params)
+        assert all(p.flags.c_contiguous for p in model._params)
+        assert model._flat_params.size == sum(p.size for p in model._params)
 
 
 class TestMLPRegressor:

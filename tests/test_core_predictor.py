@@ -1,5 +1,7 @@
 """Tests for FrequencyProfile and the compute/memory fit."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -139,3 +141,42 @@ class TestFrequencyProfile:
         profile.observe(3.0, 0.1, 0.02, 1.0, {"a": 1.0})
         assert len(profile.history) == 1
         assert profile.history.rows[0].features == {"a": 1.0}
+
+
+class TestFitCache:
+    """The memoized ``_fit`` always equals a fresh fit of ``_t_run``."""
+
+    @staticmethod
+    def fresh_fit(profile):
+        points = [(freq, ewma.forecast())
+                  for freq, ewma in profile._t_run.items()
+                  if ewma.initialized]
+        return fit_compute_memory(points)
+
+    @pytest.mark.parametrize("use_mlp", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cached_fit_matches_fresh_fit_after_every_call(self, use_mlp,
+                                                           seed):
+        rnd = random.Random(seed)
+        names = ["size", "noise"] if use_mlp else None
+        profiles = [make_profile(use_mlp, names) for _ in range(3)]
+        levels = list(FrequencyScale())
+        for _ in range(300):
+            profile = rnd.choice(profiles)
+            freq = rnd.choice(levels)
+            features = None
+            if use_mlp:
+                features = {"size": rnd.uniform(1.0, 20.0),
+                            "noise": rnd.random()}
+            op = rnd.random()
+            if op < 0.4 or not profile.has_data:
+                t_run = (0.2 / freq + 0.05) * rnd.uniform(0.5, 1.5)
+                profile.observe(freq, t_run, rnd.uniform(0.0, 0.02),
+                                t_run * rnd.uniform(5.0, 15.0), features)
+            elif op < 0.7:
+                profile.predict_t_run(freq, features)
+            else:
+                profile.predict_energy(freq, features)
+            for each in profiles:
+                if each.has_data:
+                    assert each._fit() == self.fresh_fit(each)
