@@ -82,10 +82,6 @@ class PartitionedNode(NodeSystem):
                                     self._enqueue)
         return job
 
-    @property
-    def outstanding(self) -> int:
-        return sum(pool.load for pool in self._pools.values())
-
     def iter_pools(self) -> List[CorePoolScheduler]:
         """Live per-function pools (observability)."""
         return list(self._pools.values())
@@ -114,7 +110,8 @@ class PartitionedNode(NodeSystem):
                 on_complete=self._on_job_complete,
                 on_core_released=self._free_cores.append,
                 cost_scale=self.dvfs_cost_scale,
-                block_latency=self.rpc_latency_scale)
+                block_latency=self.rpc_latency_scale,
+                owner=self)
             self._rebalance()
         return self._pools[function_name]
 
@@ -146,6 +143,8 @@ class PartitionedNode(NodeSystem):
         to the free list; pools are re-created on demand as invocations
         arrive, exactly like a freshly booted node.
         """
+        for pool in self._pools.values():
+            pool.owner = None
         self._pools = {}
         self._last_activity = {}
         self._free_cores = list(self.server.cores)
@@ -170,16 +169,22 @@ class PartitionedNode(NodeSystem):
         return True
 
     def _retire_idle_pools(self) -> None:
+        """Drop pools idle past the timeout, returning their cores.
+
+        A pool retires only when it holds no job at all: a blocked job
+        still needs its pool (and, run-to-completion, still holds a core).
+        """
         cutoff = self.env.now - POOL_IDLE_TIMEOUT_S
         for name in list(self._pools):
             pool = self._pools[name]
-            if (pool.outstanding == 0
+            if (pool.load == 0
                     and self._last_activity.get(name, 0.0) < cutoff):
                 while True:
                     core = pool.release_idle_core()
                     if core is None:
                         break
                     self._free_cores.append(core)
+                pool.owner = None
                 del self._pools[name]
 
     def _rebalance(self) -> None:
@@ -193,8 +198,8 @@ class PartitionedNode(NodeSystem):
         if not self._pools:
             return
         total_cores = self.server.n_cores
-        weights = {name: 1.0 + pool.load
-                   for name, pool in self._pools.items()}
+        loads = {name: pool.load for name, pool in self._pools.items()}
+        weights = {name: 1.0 + load for name, load in loads.items()}
         weight_sum = sum(weights.values())
         exact = {name: total_cores * weight / weight_sum
                  for name, weight in weights.items()}
@@ -207,8 +212,8 @@ class PartitionedNode(NodeSystem):
                 break
             targets[name] += 1
             leftover -= 1
-        for name, pool in self._pools.items():
-            if targets[name] == 0 and pool.load > 0:
+        for name, load in loads.items():
+            if targets[name] == 0 and load > 0:
                 donor = max(targets, key=targets.get)
                 if targets[donor] > 1:
                     targets[donor] -= 1

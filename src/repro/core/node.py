@@ -80,7 +80,8 @@ class EcoFaaSNode(NodeSystem):
             on_complete=self._on_job_complete,
             on_core_released=self._core_released,
             cost_scale=self.dvfs_cost_scale,
-            block_latency=self.rpc_latency_scale)
+            block_latency=self.rpc_latency_scale,
+            owner=self)
 
     def iter_pools(self) -> List[CorePoolScheduler]:
         """Every live pool, retiring ones included (observability)."""
@@ -138,11 +139,6 @@ class EcoFaaSNode(NodeSystem):
         self._submit_with_container(fn_model, job, f"cold/{fn_model.name}",
                                     self._dispatch)
         return job
-
-    @property
-    def outstanding(self) -> int:
-        return (sum(p.load for p in self._pools)
-                + sum(p.load for p in self._retiring))
 
     def _dispatcher(self, fn_model: FunctionModel) -> EnergyAwareDispatcher:
         if fn_model.name not in self._dispatchers:
@@ -285,6 +281,8 @@ class EcoFaaSNode(NodeSystem):
         survives the reboot; EWT counters do not, which is exactly the
         no-leak property the invariant tests check.
         """
+        for pool in self._pools + self._retiring:
+            pool.owner = None
         self._free = []
         self._retiring = []
         self._targets = {}
@@ -556,6 +554,7 @@ class EcoFaaSNode(NodeSystem):
         for pool in list(self._retiring):
             self._shed_down_to(pool, 1 if pool.load > 0 else 0)
             if pool.load == 0 and pool.n_cores == 0:
+                pool.owner = None
                 self._retiring.remove(pool)
         for pool in self._pools:
             self._shed_down_to(pool, targets[pool.frequency_ghz])

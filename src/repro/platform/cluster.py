@@ -177,8 +177,9 @@ class Cluster:
                 up = preferred
         if exclude is not None and len(up) > 1:
             up = [i for i in up if self.nodes[i] is not exclude] or up
-        best = min(self.nodes[i].outstanding for i in up)
-        candidates = [i for i in up if self.nodes[i].outstanding == best]
+        loads = [self.nodes[i].outstanding for i in up]
+        best = min(loads)
+        candidates = [i for i, load in zip(up, loads) if load == best]
         choice = candidates[self._rr_index % len(candidates)]
         self._rr_index += 1
         return self.nodes[choice]

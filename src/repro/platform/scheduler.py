@@ -20,11 +20,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.hardware.core import Core
 from repro.platform.job import Job
 from repro.sim.engine import Environment
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.platform.system import NodeSystem
 
 #: Default process context-switch cost, seconds (a few µs, Section VI-C).
 CONTEXT_SWITCH_S = 5e-6
@@ -69,7 +72,8 @@ class CorePoolScheduler:
                  on_complete: Optional[Callable[[Job], None]] = None,
                  on_core_released: Optional[Callable[[Core], None]] = None,
                  cost_scale: Optional[Callable[[], float]] = None,
-                 block_latency: Optional[Callable[[], float]] = None):
+                 block_latency: Optional[Callable[[], float]] = None,
+                 owner: Optional["NodeSystem"] = None):
         if context_switch_s < 0:
             raise ValueError(f"negative context switch cost {context_switch_s}")
         if freq_change_cost_s < 0:
@@ -91,6 +95,10 @@ class CorePoolScheduler:
         #: (storage/RPC latency spikes). None = no scaling at all.
         self.cost_scale = cost_scale
         self.block_latency = block_latency
+        #: The node whose ``pool_jobs`` count this pool keeps up to date
+        #: (+1 when a job enters the pool's books, -1 when it leaves);
+        #: None for a free-standing pool.
+        self.owner = owner
         self.stats = SchedulerStats()
 
         self._cores: List[Core] = []
@@ -135,14 +143,9 @@ class CorePoolScheduler:
         return len(self._blocked_jobs)
 
     @property
-    def outstanding(self) -> int:
-        """Jobs queued or running (blocked jobs are not counted)."""
-        return self.queue_length + self.running_count
-
-    @property
     def load(self) -> int:
         """All jobs this pool is responsible for: queued+running+blocked."""
-        return self.queue_length + self.running_count + self.blocked_count
+        return len(self._ready) + len(self._running) + len(self._blocked_jobs)
 
     @property
     def ewt_seconds(self) -> float:
@@ -253,6 +256,7 @@ class CorePoolScheduler:
                                    len(self._ready) + 1)
         job.note_enqueue(pool=self.name)
         heapq.heappush(self._ready, (job.seniority, job))
+        self._tally(1)
         self._dispatch()
 
     def drain_ready(self) -> List[Job]:
@@ -269,6 +273,7 @@ class CorePoolScheduler:
                 self._ewt_s -= remaining
                 job.registered_run_seconds = remaining
             drained.append(job)
+        self._tally(-len(drained))
         return drained
 
     def abort_all(self) -> List[Job]:
@@ -297,6 +302,7 @@ class CorePoolScheduler:
         self._available = list(self._cores)
         for core in self._cores:
             core.blocked_hold = None
+        self._tally(-len(lost))
         for job in lost:
             job.abort()
         return lost
@@ -319,6 +325,7 @@ class CorePoolScheduler:
                 heapq.heapify(self._ready)
                 self._ewt_s -= self._ewt_amounts.pop(job.job_id, 0.0)
                 self._t_run_at_dispatch.pop(job.job_id, None)
+                self._tally(-1)
                 job.cancel()
                 return True
         for core_id, running in list(self._running.items()):
@@ -328,6 +335,7 @@ class CorePoolScheduler:
                 core.preempt()
                 self._consume_ewt(job)
                 self._ewt_s -= self._ewt_amounts.pop(job.job_id, 0.0)
+                self._tally(-1)
                 job.cancel()
                 self._core_freed(core)
                 return True
@@ -335,6 +343,7 @@ class CorePoolScheduler:
             del self._blocked_jobs[job.job_id]
             self._ewt_s -= self._ewt_amounts.pop(job.job_id, 0.0)
             self._t_run_at_dispatch.pop(job.job_id, None)
+            self._tally(-1)
             core = next((c for c in self._cores if c.blocked_hold is job),
                         None)
             job.cancel()
@@ -505,6 +514,7 @@ class CorePoolScheduler:
         core.blocked_hold = None
 
     def _finish(self, core: Core, job: Job) -> None:
+        self._tally(-1)
         self._ewt_s -= self._ewt_amounts.pop(job.job_id, 0.0)
         self.stats.served += 1
         self.stats.total_wait_s += job.t_queue
@@ -514,6 +524,11 @@ class CorePoolScheduler:
         if self.on_complete is not None:
             self.on_complete(job)
         self._core_freed(core)
+
+    def _tally(self, delta: int) -> None:
+        """Move the owner's job count with this pool's books (DESIGN §4d)."""
+        if self.owner is not None:
+            self.owner.pool_jobs += delta
 
     def _core_freed(self, core: Core) -> None:
         if core.core_id in self._pending_removal:

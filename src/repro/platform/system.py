@@ -53,6 +53,11 @@ class NodeSystem(abc.ABC):
         #: Jobs waiting for an in-flight cold start, by job id (they are
         #: not in any pool yet, so a crash must abort them here).
         self._awaiting_container: Dict[int, Job] = {}
+        #: Jobs on the books of this node's pools, kept by the pools
+        #: themselves (:class:`CorePoolScheduler` built with ``owner=``
+        #: this node); equal to ``sum(pool.load for pool in
+        #: self.iter_pools())`` at every instant (DESIGN §4d).
+        self.pool_jobs = 0
 
     @abc.abstractmethod
     def submit(self, fn_model: FunctionModel, spec: InvocationSpec,
@@ -66,9 +71,9 @@ class NodeSystem(abc.ABC):
         """
 
     @property
-    @abc.abstractmethod
     def outstanding(self) -> int:
-        """Queued + running jobs (the load balancer's signal)."""
+        """Queued + running + blocked jobs (the load balancer's signal)."""
+        return self.pool_jobs
 
     def prewarm(self, fn_model: FunctionModel, budget_s: float,
                 benchmark: str) -> None:

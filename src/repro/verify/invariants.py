@@ -284,11 +284,16 @@ class Verifier:
                         f"negative in-flight workflow count:"
                         f" {cluster.inflight}", inflight=cluster.inflight)
         for node in cluster.nodes:
-            if node.outstanding < 0:
+            # The load balancer reads the node's running count; the pools'
+            # own books are the reference it must equal (DESIGN §4d).
+            pooled = sum(pool.load for pool in node.iter_pools())
+            if node.outstanding != pooled:
                 self.record("kernel-counts",
-                            f"{node.track} has negative outstanding job"
-                            f" count: {node.outstanding}",
-                            node=node.track, outstanding=node.outstanding)
+                            f"{node.track} outstanding job count"
+                            f" {node.outstanding} != {pooled} jobs on its"
+                            f" pools' books",
+                            node=node.track, outstanding=node.outstanding,
+                            pooled=pooled)
             containers = node.containers
             for counter in ("cold_starts", "warm_hits", "kills"):
                 value = getattr(containers, counter)

@@ -6,8 +6,8 @@ rather than just passing on a correct tree. Each mutation is a
 monkeypatch installed for the duration of a ``with planted(name):``
 block, reverting on exit even if the run raises.
 
-The three bugs are chosen to land in three different layers, one per
-major invariant family:
+The bugs are chosen to land in different layers, one per major
+invariant family:
 
 * ``journal-fence`` — ``RedispatchJournal.record_redispatch`` silently
   drops the write, so the exactly-once journal never sees the
@@ -25,6 +25,10 @@ major invariant family:
   cancelled but never removes it from the pool, so "killed" work keeps
   executing and runs to completion. Falsifies ``cancel-lifecycle``
   (cancelled work must never complete).
+* ``load-drift`` — ``CorePoolScheduler.abort_all`` forgets to take the
+  lost jobs off its node's running job count, so after a crash the load
+  balancer sees phantom work on the rebooted node. Falsifies
+  ``kernel-counts`` (count == Σ pool load).
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ MUTATIONS = {
     "ledger-bucket": "energy-conservation",
     "breaker-jump": "breaker-transition",
     "cancel-leak": "cancel-lifecycle",
+    "load-drift": "kernel-counts",
 }
 
 
@@ -104,11 +109,26 @@ def _plant_cancel_leak():
     return ("cancel_job", original)
 
 
+def _plant_load_drift():
+    original = _scheduler_mod.CorePoolScheduler.abort_all
+
+    def abort_all(self):
+        owner, self.owner = self.owner, None  # bug: the count is not told
+        try:
+            return original(self)
+        finally:
+            self.owner = owner
+
+    _scheduler_mod.CorePoolScheduler.abort_all = abort_all
+    return ("abort_all", original)
+
+
 _PLANTERS = {
     "journal-fence": (_journal_mod.RedispatchJournal, _plant_journal_fence),
     "ledger-bucket": (_ledger_mod.EnergyLedger, _plant_ledger_bucket),
     "breaker-jump": (_breaker_mod.CircuitBreaker, _plant_breaker_jump),
     "cancel-leak": (_scheduler_mod.CorePoolScheduler, _plant_cancel_leak),
+    "load-drift": (_scheduler_mod.CorePoolScheduler, _plant_load_drift),
 }
 
 

@@ -3,16 +3,24 @@
 import pytest
 
 from repro.baselines import BaselineSystem, PowerCtrlSystem
-from repro.baselines.powerctrl import proportional_deadlines
+from repro.baselines.mxfaas import BaselineNode
+from repro.baselines.partitioned import POOL_IDLE_TIMEOUT_S
+from repro.baselines.powerctrl import PowerCtrlNode, proportional_deadlines
+from repro.hardware.server import Server
+from repro.hardware.work import WorkUnit
 from repro.platform.cluster import Cluster, ClusterConfig
+from repro.platform.metrics import MetricsCollector
 from repro.sim import Environment
+from repro.sim.rng import RngRegistry
 from repro.traces.poisson import (
     PoissonLoadConfig,
     generate_poisson_trace,
     rate_for_utilization,
 )
 from repro.traces.trace import Trace, TraceEvent
+from repro.workloads.functionbench import WEB_SERV
 from repro.workloads.registry import all_benchmarks, workflow_for
+from repro.workloads.spec import BlockSegment, InvocationSpec, RunSegment
 
 
 def small_trace(names, rate=20.0, duration=10.0, seed=1):
@@ -137,3 +145,34 @@ class TestPowerCtrlSystem:
         cluster = run_cluster(PowerCtrlSystem(), trace)
         overhead = cluster.energy_by_component()["dvfs_overhead"]
         assert overhead > 0
+
+
+class TestIdlePoolRetirement:
+    """A pool whose only job is blocked is not idle: retiring it would
+    strand the job (switch-on-idle) or leak the core it holds
+    (run-to-completion)."""
+
+    BLOCK_S = 15.0
+
+    def run_blocked_job(self, node_cls):
+        env = Environment()
+        server = Server(env, n_cores=4)
+        node = node_cls(env, server, MetricsCollector(), RngRegistry(0))
+        def run():
+            return RunSegment(WorkUnit(gcycles=0.3 * 3.0))  # 0.3 s at 3 GHz
+
+        spec = InvocationSpec(WEB_SERV.name,
+                              [run(), BlockSegment(self.BLOCK_S), run()])
+        assert self.BLOCK_S > POOL_IDLE_TIMEOUT_S + 1.0
+        job = node.submit(WEB_SERV, spec, None, WEB_SERV.name)
+        env.run(until=60.0)
+        return server, node, job
+
+    @pytest.mark.parametrize("node_cls", [BaselineNode, PowerCtrlNode])
+    def test_blocked_job_completes_and_every_core_returns(self, node_cls):
+        server, node, job = self.run_blocked_job(node_cls)
+        assert job.finished
+        assert node.outstanding == 0
+        assert not node.iter_pools()  # retired once truly idle
+        assert (sorted(core.core_id for core in node._free_cores)
+                == sorted(core.core_id for core in server.cores))

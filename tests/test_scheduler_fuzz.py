@@ -72,8 +72,7 @@ def test_random_mixes_all_complete_with_sane_accounting(
 
     # 1. No job is ever lost.
     assert all(job.finished for job in built)
-    assert pool.outstanding == 0
-    assert pool.blocked_count == 0
+    assert pool.load == 0
     # 2. The EWT counter drains back to ~zero.
     assert pool.ewt_seconds == pytest.approx(0.0, abs=1e-6)
     # 3. Served counter matches.
@@ -142,4 +141,4 @@ def test_elastic_operations_never_lose_jobs(jobs, operations):
     env.run()
     # Jobs may finish in either pool, but all must finish.
     assert all(job.finished for job in built)
-    assert pool.outstanding == 0 and other.outstanding == 0
+    assert pool.load == 0 and other.load == 0

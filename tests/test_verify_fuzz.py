@@ -72,6 +72,27 @@ class TestShrinkAndReplay:
             " violations/fingerprint")
 
 
+class TestLoadDrift:
+    """``repro fuzz --mutate load-drift`` finds the forgotten crash
+    decrement of a node's job count and shrinks it to the committed
+    corpus artifact (same bytes)."""
+
+    def test_cli_finds_and_shrinks_to_the_corpus_artifact(self, tmp_path):
+        from repro.cli import main
+        code = main(["fuzz", "--trials", "1", "--seed", "7",
+                     "--mutate", "load-drift",
+                     "--artifact-dir", str(tmp_path)])
+        assert code == 1  # a violating trial
+        (path,) = tmp_path.iterdir()
+        artifact = json.loads(path.read_text())
+        assert {v["invariant"] for v in artifact["violations"]} == {
+            "kernel-counts"}
+        shrink = artifact["shrink"]
+        assert shrink["events_after"] < shrink["events_before"]
+        corpus = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+        assert path.read_bytes() == (corpus / path.name).read_bytes()
+
+
 class TestCorpus:
     """The seeded corpus/ of previously-shrunk artifacts must keep
     replaying byte-for-byte (ROADMAP item 6); see corpus/README.md."""

@@ -1,12 +1,19 @@
 """Unit tests for repro.verify: the monitors and the planted mutations."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from repro.baselines import BaselineSystem
+from repro.baselines.mxfaas import BaselineNode
+from repro.hardware.server import Server
 from repro.obs import NULL_PROFILER, NULL_TRACER, AuditLog, Profiler, Tracer
 from repro.platform.cluster import ClusterConfig
+from repro.platform.metrics import MetricsCollector
 from repro.session import RunSession, current_session
 from repro.sim.engine import Environment
+from repro.sim.rng import RngRegistry
 from repro.tenancy.config import TenantSpec
 from repro.verify import (
     BREAKER_STATES,
@@ -16,6 +23,7 @@ from repro.verify import (
     Violation,
 )
 from repro.verify.mutate import MUTATIONS, planted
+from repro.workloads.functionbench import WEB_SERV
 
 
 class TestNullVerifier:
@@ -134,13 +142,50 @@ class TestVerifierHooks:
         assert verifier.summary() == {"a": 2, "b": 1}
 
 
+class TestKernelCountsOracle:
+    """A node's running job count must equal its pools' summed load."""
+
+    def crashed_node(self, mutate=None):
+        env = Environment()
+        node = BaselineNode(env, Server(env, n_cores=2), MetricsCollector(),
+                            RngRegistry(0))
+        spec = WEB_SERV.sample_invocation(np.random.default_rng(0))
+        node.submit(WEB_SERV, spec, None, WEB_SERV.name)
+        assert node.outstanding == 1
+        if mutate is None:
+            node.crash()
+        else:
+            with planted(mutate):
+                node.crash()
+        node.reboot()
+        verifier = Verifier()
+        verifier.bind(env)
+        verifier.begin_run("Test")
+        verifier.sweep(SimpleNamespace(inflight=0, nodes=[node],
+                                       servers=[], guard=None, ha=None,
+                                       tenancy=None, cancel=None))
+        return node, verifier
+
+    def test_crash_takes_every_job_off_the_count(self):
+        node, verifier = self.crashed_node()
+        assert node.outstanding == 0
+        assert verifier.violations == []
+
+    def test_load_drift_is_caught(self):
+        node, verifier = self.crashed_node("load-drift")
+        assert node.outstanding == 1
+        assert sum(pool.load for pool in node.iter_pools()) == 0
+        assert verifier.summary() == {"kernel-counts": 1}
+
+
 class TestMutations:
     def test_catalog_names_four_layers(self):
         assert MUTATIONS == {
             "journal-fence": "ha-journal-crosscheck",
             "ledger-bucket": "energy-conservation",
             "breaker-jump": "breaker-transition",
-            "cancel-leak": "cancel-lifecycle"}
+            "cancel-leak": "cancel-lifecycle",
+            "load-drift": "kernel-counts"}
 
     def test_unknown_mutation_rejected(self):
         with pytest.raises(ValueError, match="unknown mutation"):
@@ -156,7 +201,8 @@ class TestMutations:
         def snapshot():
             return (RedispatchJournal.record_redispatch,
                     EnergyLedger.record_core, CircuitBreaker.allow,
-                    CorePoolScheduler.cancel_job)
+                    CorePoolScheduler.cancel_job,
+                    CorePoolScheduler.abort_all)
 
         originals = snapshot()
         for name in MUTATIONS:
